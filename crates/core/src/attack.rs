@@ -279,12 +279,12 @@ impl Moscons {
         // enough work to amortize a dispatch. Every individual training is
         // bitwise thread-count invariant and `par_map` returns results in
         // task order, so the fan-out is bitwise identical to the serial
-        // sequence. The five `Mhp` heads go first: they are the oversized
-        // tasks of the seven (wider LSTM over full iteration sequences vs.
-        // the voting models' short label windows), and `par_map`'s dynamic
-        // pickup hands out tasks in list order — scheduling the heavy ones
-        // first keeps the tail of the fan-out from serializing behind one
-        // straggler Mhp head that was picked up last.
+        // sequence. `par_map`'s dynamic pickup hands out tasks in list
+        // order, so the list runs longest first: the optimizer head (its
+        // labels sit at the iteration tail, so it is the one `Mhp` head that
+        // still trains on full iterations), then the two voting models,
+        // then the four per-layer heads, which `fit` trims to each
+        // iteration's forward prefix and which fill in the gaps at the end.
         #[derive(Clone, Copy)]
         enum TailTask {
             VotingLong,
@@ -295,11 +295,15 @@ impl Moscons {
             Voting(VotingModel),
             Hp(HpModel),
         }
-        let tasks: Vec<TailTask> = HpKind::ALL
-            .into_iter()
-            .map(TailTask::Hp)
-            .chain([TailTask::VotingLong, TailTask::VotingOp])
-            .collect();
+        let per_layer = HpKind::ALL.into_iter().filter(|&k| k != HpKind::Optimizer);
+        let tasks: Vec<TailTask> = [
+            TailTask::Hp(HpKind::Optimizer),
+            TailTask::VotingLong,
+            TailTask::VotingOp,
+        ]
+        .into_iter()
+        .chain(per_layer.map(TailTask::Hp))
+        .collect();
         let mut tail = ml::par::par_map(&tasks, |_, &task| match task {
             TailTask::VotingLong => TailModel::Voting(VotingModel::train(
                 &long_examples,
@@ -318,20 +322,24 @@ impl Moscons {
             }
         })
         .into_iter();
-        let hp: Vec<HpModel> = tail
-            .by_ref()
-            .take(HpKind::ALL.len())
-            .map(|t| match t {
-                TailModel::Hp(h) => h,
-                TailModel::Voting(_) => unreachable!("tasks 0..5 train Mhp heads"),
-            })
-            .collect();
+        let Some(TailModel::Hp(optimizer_head)) = tail.next() else {
+            unreachable!("task 0 trains the optimizer head")
+        };
         let Some(TailModel::Voting(v_long)) = tail.next() else {
-            unreachable!("task 5 trains Vlong")
+            unreachable!("task 1 trains Vlong")
         };
         let Some(TailModel::Voting(v_op)) = tail.next() else {
-            unreachable!("task 6 trains Vop")
+            unreachable!("task 2 trains Vop")
         };
+        // Back in `HpKind::ALL` order, which ends with the optimizer head.
+        let hp: Vec<HpModel> = tail
+            .map(|t| match t {
+                TailModel::Hp(h) => h,
+                TailModel::Voting(_) => unreachable!("tasks 3..7 train per-layer Mhp heads"),
+            })
+            .chain([optimizer_head])
+            .collect();
+        debug_assert!(hp.iter().map(HpModel::kind).eq(HpKind::ALL));
 
         Moscons {
             config,

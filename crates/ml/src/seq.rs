@@ -395,9 +395,12 @@ impl SequenceClassifier {
     /// The epoch loop is allocation-free in steady state: per-example
     /// buffers live in pooled [`Workspace`]s, gradient accumulators persist
     /// across batches, and example feature matrices are materialized once up
-    /// front. The result is bitwise identical to
-    /// [`SequenceClassifier::fit_reference`] at any thread count
-    /// (property-tested).
+    /// front. Each example runs only up to its last unmasked timestep; the
+    /// trailing timesteps carry no loss and, through a unidirectional LSTM,
+    /// no gradient. The result equals
+    /// [`SequenceClassifier::fit_reference`], which runs every full
+    /// sequence, element for element at any thread count (property-tested;
+    /// only the sign of an exactly-zero gradient could differ).
     ///
     /// # Panics
     ///
@@ -419,10 +422,15 @@ impl SequenceClassifier {
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e3779b97f4a7c15);
         let mut order: Vec<usize> = (0..data.len()).collect();
         // Feature matrices are re-read every epoch but never change:
-        // materialize them once instead of per pass.
+        // materialize them once instead of per pass, each cut after its last
+        // unmasked timestep. A fully masked example keeps one step so
+        // batches keep their composition and `1/batch.len()` averaging.
         let inputs: Vec<Matrix> = data
             .iter()
-            .map(|ex| Self::features_to_matrix(&ex.features))
+            .map(|ex| {
+                let len = ex.mask.iter().rposition(|&m| m).map_or(1, |last| last + 1);
+                Self::features_to_matrix(&ex.features[..len])
+            })
             .collect();
 
         let opt_wx: Vec<Adam> = self
@@ -1287,41 +1295,130 @@ mod tests {
         }
     }
 
+    /// How [`fit_matches_allocating_reference_bitwise`] masks its examples,
+    /// simplest first so counterexamples shrink toward fully labelled data.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum MaskShape {
+        /// Every timestep labelled.
+        Full,
+        /// Each timestep labelled with probability 1/2.
+        Random,
+        /// A random prefix ending in a label, then an all-masked tail.
+        TrailingMasked,
+        /// Fully labelled examples mixed with fully masked ones.
+        MixedFullyMasked,
+    }
+
+    fn apply_masks(data: &mut [SeqExample], shape: MaskShape, seed: u64) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for ex in data {
+            let t_len = ex.len();
+            match shape {
+                MaskShape::Full => {}
+                MaskShape::Random => ex.mask.fill_with(|| rng.gen_bool(0.5)),
+                MaskShape::TrailingMasked => {
+                    let cut = rng.gen_range(1..t_len.max(2)).min(t_len);
+                    for (t, m) in ex.mask.iter_mut().enumerate() {
+                        *m = t + 1 == cut || (t < cut && rng.gen_bool(0.5));
+                    }
+                }
+                MaskShape::MixedFullyMasked => {
+                    if rng.gen_bool(0.5) {
+                        ex.mask.fill(false);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Trains one classifier with `fit` and one with `fit_reference` on the
+    /// same data and config; fails unless weights and history are equal.
+    fn fit_vs_reference(
+        cfg: &SeqClassifierConfig,
+        data: &[SeqExample],
+        threads: usize,
+    ) -> Result<SequenceClassifier, String> {
+        let (pooled, reference) = crate::par::with_threads(threads, || {
+            let mut a = SequenceClassifier::new(cfg.clone());
+            a.fit(data);
+            let mut b = SequenceClassifier::new(cfg.clone());
+            b.fit_reference(data);
+            (a, b)
+        });
+        testkit::prop::holds(pooled.history() == reference.history(), "history differs")?;
+        for (a, b) in pooled.layers.iter().zip(&reference.layers) {
+            testkit::prop::holds(a.wx == b.wx, "wx differs")?;
+            testkit::prop::holds(a.wh == b.wh, "wh differs")?;
+            testkit::prop::holds(a.b == b.b, "b differs")?;
+        }
+        testkit::prop::holds(pooled.head.w == reference.head.w, "head w differs")?;
+        testkit::prop::holds(pooled.head.b == reference.head.b, "head b differs")?;
+        Ok(pooled)
+    }
+
     #[test]
     fn fit_matches_allocating_reference_bitwise() {
-        // `batch_size = 1` (single-example minibatches) and `t_len = 1`
-        // (single-timestep sequences) sit at the generator floors, so every
-        // counterexample shrinks toward the classic per-example schedule.
-        let shapes = testkit::gen::zip3(
+        // `batch_size = 1` (single-example minibatches), `t_len = 1`
+        // (single-timestep sequences) and fully labelled masks sit at the
+        // generator floors, so every counterexample shrinks toward the
+        // classic per-example schedule. Masked shapes exercise `fit`'s trim
+        // to the last unmasked timestep against the untrimmed reference.
+        let shapes = testkit::gen::zip4(
             testkit::gen::usize_in(1, 5), // batch_size
             testkit::gen::usize_in(1, 8), // thread count
-            testkit::gen::usize_in(1, 5), // timesteps per sequence
+            testkit::gen::usize_in(1, 6), // timesteps per sequence
+            testkit::gen::choice(vec![
+                MaskShape::Full,
+                MaskShape::Random,
+                MaskShape::TrailingMasked,
+                MaskShape::MixedFullyMasked,
+            ]),
         );
         testkit::check(
             "seq_fit_pooled_vs_reference",
             &shapes,
-            |&(batch_size, threads, t_len)| {
-                let data = quadrant_dataset(6, t_len, 13);
+            |&(batch_size, threads, t_len, shape)| {
+                let mut data = quadrant_dataset(6, t_len, 13);
+                apply_masks(&mut data, shape, 0x3a5c ^ (t_len * 31 + batch_size) as u64);
                 let mut cfg = SeqClassifierConfig::new(2, 6, 4);
                 cfg.epochs = 3;
                 cfg.batch_size = batch_size;
-                let (pooled, reference) = crate::par::with_threads(threads, || {
-                    let mut a = SequenceClassifier::new(cfg.clone());
-                    a.fit(&data);
-                    let mut b = SequenceClassifier::new(cfg.clone());
-                    b.fit_reference(&data);
-                    (a, b)
-                });
-                testkit::prop::holds(pooled.history() == reference.history(), "history differs")?;
-                for (a, b) in pooled.layers.iter().zip(&reference.layers) {
-                    testkit::prop::holds(a.wx == b.wx, "wx differs")?;
-                    testkit::prop::holds(a.wh == b.wh, "wh differs")?;
-                    testkit::prop::holds(a.b == b.b, "b differs")?;
-                }
-                testkit::prop::holds(pooled.head.w == reference.head.w, "head w differs")?;
-                testkit::prop::holds(pooled.head.b == reference.head.b, "head b differs")
+                fit_vs_reference(&cfg, &data, threads).map(drop)
             },
         );
+    }
+
+    #[test]
+    fn fit_trims_single_label_at_first_timestep_exactly() {
+        // One example's only label sits at `t = 0`, so `fit` trains it as a
+        // one-step sequence while `fit_reference` runs all five steps.
+        let mut data = quadrant_dataset(5, 5, 17);
+        data[2].mask = vec![true, false, false, false, false];
+        for batch_size in [1usize, 3] {
+            let mut cfg = SeqClassifierConfig::new(2, 6, 4);
+            cfg.epochs = 3;
+            cfg.batch_size = batch_size;
+            fit_vs_reference(&cfg, &data, 2).unwrap();
+        }
+    }
+
+    #[test]
+    fn fit_on_fully_masked_batches_matches_reference_with_zero_stats() {
+        let mut data = quadrant_dataset(4, 4, 19);
+        for ex in &mut data {
+            ex.mask.fill(false);
+        }
+        for batch_size in [1usize, 4] {
+            let mut cfg = SeqClassifierConfig::new(2, 6, 4);
+            cfg.epochs = 2;
+            cfg.batch_size = batch_size;
+            let clf = fit_vs_reference(&cfg, &data, 1).unwrap();
+            for stats in clf.history() {
+                assert_eq!(stats.mean_loss, 0.0, "batch {batch_size}: {stats:?}");
+                assert_eq!(stats.accuracy, 0.0, "batch {batch_size}: {stats:?}");
+            }
+        }
     }
 
     #[test]
