@@ -39,7 +39,6 @@ use moscons::{
     SessionSpec,
 };
 use serde::Serialize;
-use serde_json::Value;
 
 #[derive(Serialize)]
 struct FleetBench {
@@ -296,22 +295,7 @@ fn main() {
         specs.len()
     );
 
-    // Merge into BENCH_pipeline.json without clobbering the other bench
-    // binaries' sections.
-    let path = "BENCH_pipeline.json";
-    let mut fields = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-    {
-        Some(Value::Object(fields)) => fields,
-        _ => Vec::new(),
-    };
-    fields.retain(|(k, _)| k != "fleet");
-    fields.push((
-        "fleet".to_string(),
-        serde_json::to_value(&bench).expect("fleet serializes"),
-    ));
-    let json = serde_json::to_string_pretty(&Value::Object(fields)).expect("bench serializes");
-    std::fs::write(path, json).expect("write BENCH_pipeline.json");
+    let path = bench::BENCH_PATH;
+    bench::merge_sections(path, &[("fleet", &bench)]).expect("write BENCH_pipeline.json");
     println!("fleet -> {path}");
 }

@@ -1,5 +1,5 @@
 //! Pipeline performance bench: times each attack stage under a 1-worker and
-//! an N-worker pool and writes `BENCH_pipeline.json`.
+//! an N-worker pool and merges its top-level keys into `BENCH_pipeline.json`.
 //!
 //! Because the execution engine is deterministic (see `ml::par`), the two
 //! configurations produce bitwise-identical models and extractions — this
@@ -223,13 +223,23 @@ fn main() {
         cache_speedup: cache_cold / cache_warm,
         lstm_secs_per_epoch,
     };
-    let json = serde_json::to_string_pretty(&bench).expect("bench serializes");
-    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
+    // Merge field by field so the other perf bins' sections survive
+    // whichever order the bins run in.
+    let serde_json::Value::Object(fields) = serde_json::to_value(&bench).expect("bench serializes")
+    else {
+        unreachable!("a struct serializes to a JSON object");
+    };
+    let sections: Vec<(&str, &dyn serde::Serialize)> = fields
+        .iter()
+        .map(|(k, v)| (k.as_str(), v as &dyn serde::Serialize))
+        .collect();
+    bench::merge_sections(bench::BENCH_PATH, &sections).expect("write BENCH_pipeline.json");
     println!(
-        "total: 1-thread {:.3}s, {}-thread {:.3}s ({:.2}x) -> BENCH_pipeline.json",
+        "total: 1-thread {:.3}s, {}-thread {:.3}s ({:.2}x) -> {}",
         total_1,
         threads,
         total_n,
-        total_1 / total_n
+        total_1 / total_n,
+        bench::BENCH_PATH
     );
 }

@@ -185,6 +185,38 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
+/// The JSON file every perf bin records its measurements in.
+pub const BENCH_PATH: &str = "BENCH_pipeline.json";
+
+/// Merges top-level `sections` into the JSON object at `path`: a key named
+/// in `sections` is replaced (and moves to the end), every other key is
+/// kept as it is. A missing or unparseable file starts from an empty
+/// object. This is how the perf bins share one file without dropping each
+/// other's results, whatever order they run in.
+pub fn merge_sections(
+    path: impl AsRef<std::path::Path>,
+    sections: &[(&str, &dyn serde::Serialize)],
+) -> std::io::Result<()> {
+    use serde_json::Value;
+    let path = path.as_ref();
+    let mut fields = match std::fs::read_to_string(path)
+        .ok()
+        .and_then(|s| serde_json::from_str(&s).ok())
+    {
+        Some(Value::Object(fields)) => fields,
+        _ => Vec::new(),
+    };
+    fields.retain(|(k, _)| sections.iter().all(|(name, _)| name != k));
+    fields.extend(
+        sections
+            .iter()
+            .map(|(name, value)| (name.to_string(), value.to_json_value())),
+    );
+    let json =
+        serde_json::to_string_pretty(&Value::Object(fields)).map_err(std::io::Error::other)?;
+    std::fs::write(path, json)
+}
+
 // ---------------------------------------------------------------------------
 // shared attack evaluation (tables VII, VIII, IX)
 // ---------------------------------------------------------------------------
@@ -489,5 +521,21 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(pct(0.984), "98.4%");
+    }
+
+    #[test]
+    fn merge_sections_keeps_foreign_sections_and_replaces_named_ones() {
+        use serde_json::Value;
+        let path = std::env::temp_dir().join(format!("bench-merge-{}.json", std::process::id()));
+        merge_sections(&path, &[("a", &1.0), ("b", &2.0)]).expect("first write");
+        merge_sections(&path, &[("b", &3.0), ("c", &"new")]).expect("merge");
+        let text = std::fs::read_to_string(&path).expect("read back");
+        std::fs::remove_file(&path).expect("clean up");
+        let expect = vec![
+            ("a".to_string(), Value::Number(1.0)),
+            ("b".to_string(), Value::Number(3.0)),
+            ("c".to_string(), Value::String("new".into())),
+        ];
+        assert_eq!(serde_json::from_str(&text), Ok(Value::Object(expect)));
     }
 }

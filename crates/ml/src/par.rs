@@ -1,18 +1,16 @@
 //! Deterministic data-parallel execution primitives.
 //!
-//! Dispatch runs on a lazily-initialized persistent worker pool
-//! ([`pool`]) by default — workers spawn once and park on a condvar, so a
-//! call costs an enqueue + wake instead of fresh `std::thread::scope`
-//! spawns. The legacy scoped-spawn path is kept behind `LEAKY_DNN_POOL=off`
-//! (or [`with_pool`]) for differential testing; both backends are bitwise
-//! identical. The core guarantee is that results are **thread-count
-//! invariant**: [`par_map`] returns results in input order regardless of
-//! how work was distributed, so any caller that combines them in that order
-//! is bitwise reproducible across `1..=N` threads. Callers that need
-//! associativity-sensitive reductions (e.g. floating-point sums) must
-//! therefore fold the returned `Vec` serially. All `unsafe` in the
-//! workspace's parallel machinery lives in [`pool`] (leaky-lint rule D5
-//! enforces the confinement).
+//! Dispatch is either serial (one worker, or a call made from inside the
+//! pool) or runs on a lazily-initialized persistent worker pool ([`pool`])
+//! — workers spawn once and park on a condvar, so a call costs an enqueue +
+//! wake. The serial path is the oracle the pool is pinned against. The core
+//! guarantee is that results are **thread-count invariant**: [`par_map`]
+//! returns results in input order regardless of how work was distributed,
+//! so any caller that combines them in that order is bitwise reproducible
+//! across `1..=N` threads. Callers that need associativity-sensitive
+//! reductions (e.g. floating-point sums) must therefore fold the returned
+//! `Vec` serially. All `unsafe` in the workspace's parallel machinery lives
+//! in [`pool`] (leaky-lint rule D5 enforces the confinement).
 //!
 //! The worker count is resolved per call by [`threads`]:
 //!
@@ -37,7 +35,6 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 pub mod pool;
 pub mod thresholds;
@@ -116,25 +113,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Runs `f` with the dispatch backend pinned to the persistent pool
-/// (`true`) or the legacy scoped-spawn fallback (`false`), restoring the
-/// previous override afterwards (also on panic).
-///
-/// Process-wide rather than thread-local, like [`crate::simd::with_simd`]:
-/// pool workers do not inherit the caller's thread-locals, and since both
-/// backends are bitwise identical a concurrent caller observing the other
-/// backend is a scheduling detail, never an arithmetic one.
-pub fn with_pool<R>(enable: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            pool::set_override(self.0);
-        }
-    }
-    let _restore = Restore(pool::set_override(if enable { 2 } else { 1 }));
-    f()
-}
-
 /// Marks the calling thread as a resident pool worker for the rest of its
 /// life: nested parallel calls run serially ([`threads`] reports 1) instead
 /// of oversubscribing the machine.
@@ -158,13 +136,11 @@ fn enter_pool_scope() -> impl Drop {
 /// Maps `f` over `items` on up to [`threads`] workers, returning results in
 /// input order.
 ///
-/// On the default pool backend the items are divided into a static chunk
-/// partition (a pure function of worker count and item count) whose chunks
-/// are claimed dynamically in index order and write into pre-assigned
-/// output slots; the scoped fallback distributes single items by an atomic
-/// counter and sorts by input index. Either way the result is identical for
-/// any worker count. A panic inside `f` propagates to the caller once the
-/// whole dispatch has drained.
+/// The pool divides the items into a static chunk partition (a pure
+/// function of worker count and item count) whose chunks are claimed
+/// dynamically in index order and write into pre-assigned output slots, so
+/// the result is identical for any worker count. A panic inside `f`
+/// propagates to the caller once the whole dispatch has drained.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -175,47 +151,7 @@ where
     if workers <= 1 || IN_POOL.with(Cell::get) {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    if pool::enabled() {
-        return pool::par_map_pooled(items, &f, workers);
-    }
-    par_map_scoped(items, f, workers)
-}
-
-/// Scoped-spawn fallback backend of [`par_map`] (`LEAKY_DNN_POOL=off`),
-/// kept for differential testing against the pool.
-fn par_map_scoped<T, R, F>(items: &[T], f: F, workers: usize) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                IN_POOL.with(|c| c.set(true));
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= items.len() {
-                        break;
-                    }
-                    local.push((idx, f(idx, &items[idx])));
-                }
-                // Poisoning only happens if another worker panicked while
-                // extending; our results are then discarded anyway because
-                // the scope re-raises that panic.
-                collected
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(local);
-            });
-        }
-    });
-    let mut merged = collected.into_inner().unwrap_or_else(|e| e.into_inner());
-    merged.sort_by_key(|&(i, _)| i);
-    merged.into_iter().map(|(_, r)| r).collect()
+    pool::par_map_pooled(items, &f, workers)
 }
 
 /// Like [`par_map`], but stays on the calling thread when `work` — any
@@ -260,42 +196,7 @@ where
     if workers <= 1 || IN_POOL.with(Cell::get) {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    if pool::enabled() {
-        return pool::par_map_mut_pooled(items, &f, workers);
-    }
-    par_map_mut_scoped(items, f, workers)
-}
-
-/// Scoped-spawn fallback backend of [`par_map_mut`] (`LEAKY_DNN_POOL=off`):
-/// one contiguous chunk per worker via safe `chunks_mut`.
-fn par_map_mut_scoped<T, R, F>(items: &mut [T], f: F, workers: usize) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let f = &f;
-                s.spawn(move || {
-                    IN_POOL.with(|c| c.set(true));
-                    slice
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(j, t)| f(ci * chunk + j, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
+    pool::par_map_mut_pooled(items, &f, workers)
 }
 
 /// Runs two closures, concurrently when more than one worker is available,
@@ -308,15 +209,7 @@ where
     if threads() <= 1 {
         return (a(), b());
     }
-    if pool::enabled() {
-        return pool::join_pooled(a, b);
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-        (ra, rb)
-    })
+    pool::join_pooled(a, b)
 }
 
 #[cfg(test)]
@@ -474,10 +367,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_scoped_backends_agree_bitwise() {
+    fn pool_and_serial_backends_agree_bitwise() {
         let items: Vec<f32> = (0..321).map(|i| i as f32 * 0.41).collect();
-        let run = || {
-            with_threads(4, || {
+        let run = |workers: usize| {
+            with_threads(workers, || {
                 let mapped = par_map(&items, |i, &x| x.sin().mul_add(x.cos(), i as f32));
                 let mut state: Vec<f32> = items.clone();
                 let mutated = par_map_mut(&mut state, |_, x| {
@@ -488,19 +381,10 @@ mod tests {
                 (mapped, state, mutated, a, b)
             })
         };
-        let pooled = with_pool(true, run);
-        let scoped = with_pool(false, run);
-        assert_eq!(pooled, scoped);
-    }
-
-    #[test]
-    fn with_pool_restores_override_on_panic() {
-        let before = pool::set_override(0);
-        pool::set_override(before);
-        let result = std::panic::catch_unwind(|| with_pool(false, || panic!("boom")));
-        assert!(result.is_err());
-        let after = pool::set_override(before);
-        assert_eq!(after, before);
+        let serial = run(1);
+        for workers in [2usize, 4, 8] {
+            assert_eq!(run(workers), serial, "pool diverged at {} workers", workers);
+        }
     }
 
     #[test]

@@ -18,10 +18,7 @@
 //! spawned worker) on the retired scoped-spawn backend the previous,
 //! roughly 8x-higher values were calibrated against. DESIGN.md §15 has the
 //! before/after table. The gates trade nothing but scheduling overhead, so
-//! retuning them can never change any result bitwise. Caveat: the
-//! `LEAKY_DNN_POOL=off` fallback re-pays the scoped spawn tax these values
-//! no longer budget for — that mode exists for differential testing, not
-//! production throughput.
+//! retuning them can never change any result bitwise.
 
 /// Minimum number of sequences in a training minibatch before
 /// `ml::seq::SequenceClassifier::fit`'s bucket fan-out dispatches to the
