@@ -137,21 +137,29 @@ impl OccupancyL2 {
     /// 3. the inserting context's own clean pools,
     /// 4. the inserting context's own dirty pool.
     ///
-    /// Returns which contexts lost dirty bytes (they owe write-backs).
+    /// Overwrites `report` with the contexts that lost dirty bytes (they owe
+    /// write-backs). The caller owns the buffer, so a reused report makes the
+    /// insert allocation-free once it has grown to its largest size.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` is unknown or `bytes` is negative/non-finite.
-    pub fn insert(&mut self, ctx: usize, kind: InsertKind, bytes: f64) -> EvictionReport {
+    pub fn insert(
+        &mut self,
+        ctx: usize,
+        kind: InsertKind,
+        bytes: f64,
+        report: &mut EvictionReport,
+    ) {
         assert!(ctx < self.contexts.len(), "unknown context {}", ctx);
         assert!(
             bytes.is_finite() && bytes >= 0.0,
             "invalid insert size {}",
             bytes
         );
-        let mut report = EvictionReport::default();
+        report.dirty_evicted.clear();
         if bytes == 0.0 {
-            return report;
+            return;
         }
         // An insertion can never exceed the whole cache.
         let bytes = bytes.min(self.capacity);
@@ -161,11 +169,18 @@ impl OccupancyL2 {
 
         if need > 0.0 {
             // Phase 1: other contexts, same kind.
-            need = self.evict_phase(ctx, kind, need, &mut report, EvictPhase::OthersSameKind);
+            let pools: &[PoolRef] = match kind {
+                InsertKind::Tex => &[PoolRef::Tex],
+                InsertKind::GlobalClean | InsertKind::GlobalDirty => {
+                    &[PoolRef::GlobalClean, PoolRef::GlobalDirty]
+                }
+            };
+            need = self.evict_phase(ctx, pools, need, report);
         }
         if need > 0.0 {
             // Phase 2: other contexts, any kind.
-            need = self.evict_phase(ctx, kind, need, &mut report, EvictPhase::OthersAnyKind);
+            let pools = &[PoolRef::GlobalClean, PoolRef::GlobalDirty, PoolRef::Tex];
+            need = self.evict_phase(ctx, pools, need, report);
         }
         if need > 0.0 {
             // Phase 3: own clean pools.
@@ -200,58 +215,51 @@ impl OccupancyL2 {
             InsertKind::GlobalDirty => occ.global_dirty += placed,
             InsertKind::Tex => occ.tex += placed,
         }
-        report
     }
 
+    /// Evicts up to `need` bytes from the non-empty `pools` of every context
+    /// but `ctx`, each in proportion to its size; returns what is still
+    /// needed. Two passes in the same context and pool order: the first sums
+    /// the eligible sizes, the second takes from each pool. Each pool is
+    /// read once, just before its own write, so the second pass sees exactly
+    /// the sizes the first one summed.
     fn evict_phase(
         &mut self,
         ctx: usize,
-        kind: InsertKind,
+        pools: &[PoolRef],
         mut need: f64,
         report: &mut EvictionReport,
-        phase: EvictPhase,
     ) -> f64 {
-        // Snapshot pool sizes eligible in this phase.
-        let mut eligible: Vec<(usize, PoolRef, f64)> = Vec::new();
+        let mut total = 0.0;
         for (i, occ) in self.contexts.iter().enumerate() {
             if i == ctx {
                 continue;
             }
-            let pools: &[(PoolRef, f64)] = match phase {
-                EvictPhase::OthersSameKind => match kind {
-                    InsertKind::Tex => &[(PoolRef::Tex, occ.tex)],
-                    InsertKind::GlobalClean | InsertKind::GlobalDirty => &[
-                        (PoolRef::GlobalClean, occ.global_clean),
-                        (PoolRef::GlobalDirty, occ.global_dirty),
-                    ],
-                },
-                EvictPhase::OthersAnyKind => &[
-                    (PoolRef::GlobalClean, occ.global_clean),
-                    (PoolRef::GlobalDirty, occ.global_dirty),
-                    (PoolRef::Tex, occ.tex),
-                ],
-            };
-            for &(p, sz) in pools {
+            for &p in pools {
+                let sz = occ.pool(p);
                 if sz > 0.0 {
-                    eligible.push((i, p, sz));
+                    total += sz;
                 }
             }
         }
-        let total: f64 = eligible.iter().map(|(_, _, s)| s).sum();
         if total <= 0.0 {
             return need;
         }
         let take_total = need.min(total);
-        for (i, pool, sz) in eligible {
-            let take = take_total * (sz / total);
-            let occ = &mut self.contexts[i];
-            match pool {
-                PoolRef::GlobalClean => occ.global_clean = (occ.global_clean - take).max(0.0),
-                PoolRef::GlobalDirty => occ.global_dirty = (occ.global_dirty - take).max(0.0),
-                PoolRef::Tex => occ.tex = (occ.tex - take).max(0.0),
+        for (i, occ) in self.contexts.iter_mut().enumerate() {
+            if i == ctx {
+                continue;
             }
-            if matches!(pool, PoolRef::GlobalDirty) && take > 0.0 {
-                report.dirty_evicted.push((i, take));
+            for &p in pools {
+                let pool = occ.pool_mut(p);
+                let sz = *pool;
+                if sz > 0.0 {
+                    let take = take_total * (sz / total);
+                    *pool = (sz - take).max(0.0);
+                    if p == PoolRef::GlobalDirty && take > 0.0 {
+                        report.dirty_evicted.push((i, take));
+                    }
+                }
             }
         }
         need -= take_total;
@@ -259,17 +267,29 @@ impl OccupancyL2 {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum EvictPhase {
-    OthersSameKind,
-    OthersAnyKind,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PoolRef {
     GlobalClean,
     GlobalDirty,
     Tex,
+}
+
+impl CtxOccupancy {
+    fn pool(&self, p: PoolRef) -> f64 {
+        match p {
+            PoolRef::GlobalClean => self.global_clean,
+            PoolRef::GlobalDirty => self.global_dirty,
+            PoolRef::Tex => self.tex,
+        }
+    }
+
+    fn pool_mut(&mut self, p: PoolRef) -> &mut f64 {
+        match p {
+            PoolRef::GlobalClean => &mut self.global_clean,
+            PoolRef::GlobalDirty => &mut self.global_dirty,
+            PoolRef::Tex => &mut self.tex,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -430,14 +450,15 @@ mod tests {
     #[test]
     fn occupancy_insert_and_evict_proportionally() {
         let mut l2 = OccupancyL2::new(1000.0);
+        let mut rep = EvictionReport::default();
         let a = l2.add_context();
         let b = l2.add_context();
         let c = l2.add_context();
-        l2.insert(a, InsertKind::GlobalClean, 600.0);
-        l2.insert(b, InsertKind::GlobalClean, 300.0);
+        l2.insert(a, InsertKind::GlobalClean, 600.0, &mut rep);
+        l2.insert(b, InsertKind::GlobalClean, 300.0, &mut rep);
         assert!((l2.total() - 900.0).abs() < 1e-9);
         // c inserts 300: 100 free, 200 must come from a and b 2:1.
-        let rep = l2.insert(c, InsertKind::GlobalClean, 300.0);
+        l2.insert(c, InsertKind::GlobalClean, 300.0, &mut rep);
         assert!(rep.dirty_evicted.is_empty());
         let oa = l2.occupancy(a).total();
         let ob = l2.occupancy(b).total();
@@ -449,10 +470,11 @@ mod tests {
     #[test]
     fn dirty_eviction_is_reported_to_owner() {
         let mut l2 = OccupancyL2::new(100.0);
+        let mut rep = EvictionReport::default();
         let spy = l2.add_context();
         let victim = l2.add_context();
-        l2.insert(spy, InsertKind::GlobalDirty, 80.0);
-        let rep = l2.insert(victim, InsertKind::GlobalClean, 60.0);
+        l2.insert(spy, InsertKind::GlobalDirty, 80.0, &mut rep);
+        l2.insert(victim, InsertKind::GlobalClean, 60.0, &mut rep);
         let spy_dirty_lost: f64 = rep
             .dirty_evicted
             .iter()
@@ -464,14 +486,28 @@ mod tests {
     }
 
     #[test]
-    fn tex_insert_prefers_tex_victims() {
+    fn reused_report_holds_only_the_latest_insert() {
         let mut l2 = OccupancyL2::new(100.0);
+        let mut rep = EvictionReport::default();
         let spy = l2.add_context();
         let victim = l2.add_context();
-        l2.insert(spy, InsertKind::Tex, 50.0);
-        l2.insert(spy, InsertKind::GlobalClean, 50.0);
+        l2.insert(spy, InsertKind::GlobalDirty, 80.0, &mut rep);
+        l2.insert(victim, InsertKind::GlobalClean, 60.0, &mut rep);
+        assert!(!rep.dirty_evicted.is_empty());
+        l2.insert(victim, InsertKind::GlobalClean, 0.0, &mut rep);
+        assert!(rep.dirty_evicted.is_empty(), "{:?}", rep);
+    }
+
+    #[test]
+    fn tex_insert_prefers_tex_victims() {
+        let mut l2 = OccupancyL2::new(100.0);
+        let mut rep = EvictionReport::default();
+        let spy = l2.add_context();
+        let victim = l2.add_context();
+        l2.insert(spy, InsertKind::Tex, 50.0, &mut rep);
+        l2.insert(spy, InsertKind::GlobalClean, 50.0, &mut rep);
         // Victim inserts 30 tex; all must come from spy's tex pool first.
-        l2.insert(victim, InsertKind::Tex, 30.0);
+        l2.insert(victim, InsertKind::Tex, 30.0, &mut rep);
         let occ = l2.occupancy(spy);
         assert!((occ.tex - 20.0).abs() < 1e-6, "tex {}", occ.tex);
         assert!((occ.global_clean - 50.0).abs() < 1e-6);
@@ -480,11 +516,12 @@ mod tests {
     #[test]
     fn self_eviction_reaches_own_dirty_last() {
         let mut l2 = OccupancyL2::new(100.0);
+        let mut rep = EvictionReport::default();
         let only = l2.add_context();
-        l2.insert(only, InsertKind::GlobalDirty, 60.0);
-        l2.insert(only, InsertKind::GlobalClean, 40.0);
+        l2.insert(only, InsertKind::GlobalDirty, 60.0, &mut rep);
+        l2.insert(only, InsertKind::GlobalClean, 40.0, &mut rep);
         // Insert 50 more clean: evicts own clean 40 then own dirty 10.
-        let rep = l2.insert(only, InsertKind::GlobalClean, 50.0);
+        l2.insert(only, InsertKind::GlobalClean, 50.0, &mut rep);
         assert!((rep.total_dirty() - 10.0).abs() < 1e-6, "{:?}", rep);
         assert!(l2.total() <= 100.0 + 1e-9);
     }
@@ -492,8 +529,9 @@ mod tests {
     #[test]
     fn drain_converts_dirty_to_clean() {
         let mut l2 = OccupancyL2::new(100.0);
+        let mut rep = EvictionReport::default();
         let c = l2.add_context();
-        l2.insert(c, InsertKind::GlobalDirty, 30.0);
+        l2.insert(c, InsertKind::GlobalDirty, 30.0, &mut rep);
         let drained = l2.drain_dirty(c, 20.0);
         assert!((drained - 20.0).abs() < 1e-9);
         let occ = l2.occupancy(c);
@@ -506,8 +544,9 @@ mod tests {
     #[test]
     fn oversized_insert_is_capped_at_capacity() {
         let mut l2 = OccupancyL2::new(100.0);
+        let mut rep = EvictionReport::default();
         let c = l2.add_context();
-        l2.insert(c, InsertKind::GlobalClean, 1e9);
+        l2.insert(c, InsertKind::GlobalClean, 1e9, &mut rep);
         assert!(l2.total() <= 100.0 + 1e-6);
     }
 

@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{InsertKind, OccupancyL2};
+use crate::cache::{EvictionReport, InsertKind, OccupancyL2};
 use crate::config::GpuConfig;
 use crate::counters::{CounterId, CounterValues};
 use crate::fault::RetryPolicy;
@@ -164,6 +164,9 @@ pub struct Gpu {
     fault_rng: StdRng,
     last_ran: Option<usize>,
     rr_next: usize,
+    /// Dirty evictions of the latest L2 insert; reused so a step allocates
+    /// nothing once the buffer has grown to its largest size.
+    evicted: EvictionReport,
     kernel_log: Vec<KernelRecord>,
     counter_trace: Vec<CounterSlice>,
 }
@@ -200,6 +203,7 @@ impl Gpu {
             fault_rng: StdRng::seed_from_u64(fault_seed),
             last_ran: None,
             rr_next: 0,
+            evicted: EvictionReport::default(),
             kernel_log: Vec::new(),
             counter_trace: Vec::new(),
         }
@@ -432,18 +436,12 @@ impl Gpu {
     fn next_wake(&self) -> Option<f64> {
         let mut wake: Option<f64> = None;
         for c in &self.contexts {
-            let mut candidates = Vec::new();
-            if let Some(t) = c.gap_until {
-                candidates.push(t);
-            }
-            if c.auto.is_some()
+            let auto_wake = c.auto.is_some()
                 && c.running.is_none()
                 && c.queue.is_empty()
-                && c.gap_until.is_none()
-            {
-                candidates.push(c.next_auto_launch_at);
-            }
-            for t in candidates {
+                && c.gap_until.is_none();
+            let candidates = [c.gap_until, auto_wake.then_some(c.next_auto_launch_at)];
+            for t in candidates.into_iter().flatten() {
                 if t > self.now_us {
                     wake = Some(wake.map_or(t, |w: f64| w.min(t)));
                 }
@@ -455,33 +453,39 @@ impl Gpu {
     /// Advances the simulation by one scheduling decision. Returns false when
     /// nothing can ever run again before the deadline.
     fn step(&mut self, deadline_us: f64) -> bool {
+        // Polling a context touches only that context, so each one is
+        // polled and tested in the same pass.
+        let mut runnable = 0usize;
+        let mut first = None;
+        let mut first_from_rr = None;
         for i in 0..self.contexts.len() {
             self.poll_host_at(i, self.now_us);
+            if self.is_runnable(i) {
+                runnable += 1;
+                first = first.or(Some(i));
+                if i >= self.rr_next {
+                    first_from_rr = first_from_rr.or(Some(i));
+                }
+            }
         }
-        let runnable: Vec<usize> = (0..self.contexts.len())
-            .filter(|&i| self.is_runnable(i))
-            .collect();
-        if runnable.is_empty() {
-            match self.next_wake() {
+        let Some(first) = first else {
+            return match self.next_wake() {
                 Some(t) if t < deadline_us => {
                     self.now_us = t;
-                    return true;
+                    true
                 }
                 Some(_) => {
                     self.now_us = deadline_us;
-                    return false;
+                    false
                 }
-                None => return false,
-            }
-        }
+                None => false,
+            };
+        };
 
         let (idx, budget) = match self.mode {
             SchedulerMode::TimeSliced => {
                 // Round-robin: first runnable context at or after rr_next.
-                let idx = *runnable
-                    .iter()
-                    .find(|&&i| i >= self.rr_next)
-                    .unwrap_or(&runnable[0]);
+                let idx = first_from_rr.unwrap_or(first);
                 self.rr_next = idx + 1;
                 if self.rr_next >= self.contexts.len() {
                     self.rr_next = 0;
@@ -497,7 +501,7 @@ impl Gpu {
             SchedulerMode::Mps => {
                 // Leftover policy: earliest-created runnable context wins and
                 // runs until a higher-priority context wakes.
-                let idx = runnable[0];
+                let idx = first;
                 let mut budget = deadline_us - self.now_us;
                 if let Some(wake) = self.next_wake() {
                     // Only yield to higher-priority contexts.
@@ -511,7 +515,7 @@ impl Gpu {
             }
         };
 
-        let sole_runner = runnable.len() == 1;
+        let sole_runner = runnable == 1;
         let used = self.execute_slice(idx, budget.max(1.0), sole_runner);
         self.now_us += used.max(0.05);
         true
@@ -554,6 +558,8 @@ impl Gpu {
                 (Some(k), false)
             }
             None if c.auto.is_some() && at + 1e-9 >= c.next_auto_launch_at => {
+                // Refcount bumps only: a KernelDesc is interned names plus
+                // Copy fields. lint: allow(A1)
                 (c.auto.clone(), true)
             }
             _ => (None, false),
@@ -583,6 +589,7 @@ impl Gpu {
             let occ = self.l2.occupancy(idx);
             c.peak_global = occ.global();
             c.peak_tex = occ.tex;
+            // An `Arc<str>` refcount bump, not a string copy. lint: allow(A1)
             c.last_kernel_name = Some(desc.name.clone());
         }
         c.running = Some(Running {
@@ -656,14 +663,12 @@ impl Gpu {
                 let rt = lost_tex * scale;
                 if rg > 0.0 {
                     self.count_reads(&mut delta, rg);
-                    let rep = self.l2.insert(idx, InsertKind::GlobalClean, rg);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.insert_l2(idx, InsertKind::GlobalClean, rg, &mut delta);
                 }
                 if rt > 0.0 {
                     self.count_tex(&mut delta, rt);
                     self.count_reads(&mut delta, rt);
-                    let rep = self.l2.insert(idx, InsertKind::Tex, rt);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.insert_l2(idx, InsertKind::Tex, rt, &mut delta);
                 }
                 used += (rg + rt) / bw;
                 if used >= budget {
@@ -701,30 +706,26 @@ impl Gpu {
                 .max(0.0)
                 .min(reads);
                 if grow_global > 0.0 {
-                    let rep = self.l2.insert(idx, InsertKind::GlobalClean, grow_global);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.insert_l2(idx, InsertKind::GlobalClean, grow_global, &mut delta);
                 }
                 let grow_tex = (fp.tex_working_set.min(self.l2.capacity() * MAX_L2_SHARE)
                     - occ.tex)
                     .max(0.0)
                     .min(tex);
                 if grow_tex > 0.0 {
-                    let rep = self.l2.insert(idx, InsertKind::Tex, grow_tex);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.insert_l2(idx, InsertKind::Tex, grow_tex, &mut delta);
                 }
                 // Transient streaming occupancy (flows through L2).
                 let stream_excess = (reads - grow_global).max(0.0) + (tex - grow_tex).max(0.0);
                 let transient = (stream_excess * STREAM_OCCUPANCY_FRAC).min(STREAM_OCCUPANCY_CAP);
                 if transient > 0.0 {
-                    let rep = self.l2.insert(idx, InsertKind::GlobalClean, transient);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.insert_l2(idx, InsertKind::GlobalClean, transient, &mut delta);
                 }
                 // Dirty generation (bounded by the in-place output buffer).
                 let occ = self.l2.occupancy(idx);
                 let grow_dirty = (dirty_cap - occ.global_dirty).max(0.0).min(writes);
                 if grow_dirty > 0.0 {
-                    let rep = self.l2.insert(idx, InsertKind::GlobalDirty, grow_dirty);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.insert_l2(idx, InsertKind::GlobalDirty, grow_dirty, &mut delta);
                 }
 
                 let r = self.contexts[idx].running.as_mut().expect("running kernel");
@@ -747,8 +748,8 @@ impl Gpu {
                 c.kernels_completed += 1;
                 self.kernel_log.push(KernelRecord {
                     ctx: ContextId(idx),
-                    name: r.desc.name.clone(),
-                    op_tag: r.desc.op_tag.clone(),
+                    name: r.desc.name,
+                    op_tag: r.desc.op_tag,
                     start_us: r.started_at,
                     end_us: now,
                 });
@@ -797,15 +798,15 @@ impl Gpu {
         used
     }
 
-    fn apply_evictions(
-        &mut self,
-        actor: usize,
-        dirty_evicted: &[(usize, f64)],
-        delta: &mut CounterValues,
-    ) {
-        for &(owner, bytes) in dirty_evicted {
+    /// Inserts `bytes` of `actor`'s data into L2 and settles the dirty
+    /// evictions it caused: the actor's own are written back at once on its
+    /// account, other owners' are owed on their next slice.
+    fn insert_l2(&mut self, actor: usize, kind: InsertKind, bytes: f64, delta: &mut CounterValues) {
+        self.l2.insert(actor, kind, bytes, &mut self.evicted);
+        // Indexed, so `count_writes` can borrow `self` between reads.
+        for k in 0..self.evicted.dirty_evicted.len() {
+            let (owner, bytes) = self.evicted.dirty_evicted[k];
             if owner == actor {
-                // Self-eviction writes back immediately on our own account.
                 self.count_writes(delta, bytes);
             } else {
                 self.contexts[owner].pending_writeback_bytes += bytes;

@@ -22,6 +22,11 @@
 //!    never speed;
 //! 3. [`std::thread::available_parallelism`].
 //!
+//! Steps 2 and 3 are read once, at first use, and cached for the life of
+//! the process: every GEMM and `par_map` asks for the worker count, and
+//! the hardware query costs syscalls and cgroup file reads. The overrides
+//! in step 1 are checked on every call.
+//!
 //! The explicit overrides are *not* capped: tests use them to force the
 //! parallel code paths on single-core machines, which the invariance
 //! guarantee makes safe.
@@ -35,12 +40,17 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 pub mod pool;
 pub mod thresholds;
 
 /// Process-wide thread-count override; 0 means "not set".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// The default worker count (`LEAKY_DNN_THREADS`, else the hardware),
+/// resolved once at first use.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
     /// Per-thread scope override installed by [`with_threads`]; 0 = unset.
@@ -58,8 +68,9 @@ thread_local! {
 /// [`with_threads`] scope, then [`set_threads`], then the
 /// `LEAKY_DNN_THREADS` environment variable (capped at the detected
 /// hardware parallelism, see the module docs), then
-/// [`std::thread::available_parallelism`]. On a pool worker thread this is
-/// always 1 (nested parallelism is serialized).
+/// [`std::thread::available_parallelism`]. The last two are read once per
+/// process, at first use. On a pool worker thread this is always 1 (nested
+/// parallelism is serialized).
 pub fn threads() -> usize {
     if IN_POOL.with(Cell::get) {
         return 1;
@@ -72,13 +83,15 @@ pub fn threads() -> usize {
     if o > 0 {
         return o;
     }
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    match std::env::var("LEAKY_DNN_THREADS") {
-        Ok(v) => resolve_env_threads(&v, hw).unwrap_or(hw),
-        Err(_) => hw,
-    }
+    *DEFAULT_THREADS.get_or_init(|| {
+        let hw = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        match std::env::var("LEAKY_DNN_THREADS") {
+            Ok(v) => resolve_env_threads(&v, hw).unwrap_or(hw),
+            Err(_) => hw,
+        }
+    })
 }
 
 /// Parses a `LEAKY_DNN_THREADS` value against the detected hardware

@@ -3,7 +3,7 @@
 //! the side-channel depends on — proportional cross-context eviction and
 //! dirty write-back on eviction.
 
-use gpu_sim::cache::{Access, InsertKind, OccupancyL2, SetAssocCache};
+use gpu_sim::cache::{Access, EvictionReport, InsertKind, OccupancyL2, SetAssocCache};
 
 /// Streams `sectors` distinct addresses for `owner` through the cache.
 fn stream(cache: &mut SetAssocCache, owner: u16, base: u64, sectors: u64, write: bool) -> u64 {
@@ -35,11 +35,22 @@ fn analytical_eviction_matches_reference_proportions() {
     let real_loss = (a_before - a_after) / a_before;
 
     let mut model = OccupancyL2::new(capacity);
+    let mut rep = EvictionReport::default();
     let a = model.add_context();
     let b = model.add_context();
-    model.insert(a, InsertKind::GlobalClean, a_sectors as f64 * 32.0);
+    model.insert(
+        a,
+        InsertKind::GlobalClean,
+        a_sectors as f64 * 32.0,
+        &mut rep,
+    );
     let m_before = model.occupancy(a).total();
-    model.insert(b, InsertKind::GlobalClean, (a_sectors / 2) as f64 * 32.0);
+    model.insert(
+        b,
+        InsertKind::GlobalClean,
+        (a_sectors / 2) as f64 * 32.0,
+        &mut rep,
+    );
     let m_after = model.occupancy(a).total();
     let model_loss = (m_before - m_after) / m_before;
 
@@ -76,11 +87,12 @@ fn dirty_writebacks_happen_in_both_models() {
     );
 
     let mut model = OccupancyL2::new(capacity as f64);
+    let mut rep = EvictionReport::default();
     let a = model.add_context();
     let b = model.add_context();
-    model.insert(a, InsertKind::GlobalDirty, capacity as f64);
-    let report = model.insert(b, InsertKind::GlobalClean, capacity as f64);
-    let model_wb: f64 = report
+    model.insert(a, InsertKind::GlobalDirty, capacity as f64, &mut rep);
+    model.insert(b, InsertKind::GlobalClean, capacity as f64, &mut rep);
+    let model_wb: f64 = rep
         .dirty_evicted
         .iter()
         .filter(|(c, _)| *c == a)
@@ -110,10 +122,16 @@ fn small_working_sets_survive_streams_in_both_models() {
     assert!(survived > 0.6, "reference survival {:.2}", survived);
 
     let mut model = OccupancyL2::new(capacity as f64);
+    let mut rep = EvictionReport::default();
     let a = model.add_context();
     let b = model.add_context();
-    model.insert(a, InsertKind::GlobalClean, hot_sectors as f64 * 32.0);
-    model.insert(b, InsertKind::GlobalClean, capacity as f64 / 4.0);
+    model.insert(
+        a,
+        InsertKind::GlobalClean,
+        hot_sectors as f64 * 32.0,
+        &mut rep,
+    );
+    model.insert(b, InsertKind::GlobalClean, capacity as f64 / 4.0, &mut rep);
     // Cache not full -> no eviction at all in the analytical model.
     let kept = model.occupancy(a).total() / (hot_sectors as f64 * 32.0);
     assert!(kept > 0.99, "analytical survival {:.2}", kept);
