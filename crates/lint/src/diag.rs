@@ -96,12 +96,9 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
 pub fn render_json_full(diags: &[Diagnostic], stats: &crate::RunStats) -> String {
     let base = render_json(diags);
     format!(
-        "{},\"stats\":{{\"files_analyzed\":{},\"cache_hits\":{},\"cache_misses\":{},\
-         \"unresolved_calls\":{},\"fns_indexed\":{}}}}}",
+        "{},\"stats\":{{\"files_analyzed\":{},\"unresolved_calls\":{},\"fns_indexed\":{}}}}}",
         &base[..base.len() - 1],
         stats.files_analyzed,
-        stats.cache_hits,
-        stats.cache_misses,
         stats.unresolved_calls,
         stats.fns_indexed,
     )

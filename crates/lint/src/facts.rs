@@ -1,9 +1,9 @@
 //! Per-file fact extraction for the semantic rules (A1–A4).
 //!
 //! Facts are deliberately *config-independent*: everything here is derived
-//! from one file's tokens alone, which is what makes the per-file
-//! incremental cache sound (same content ⇒ same facts, whatever `lint.toml`
-//! says today). Policy — which roots matter, which paths are exempt — is
+//! from one file's tokens alone, so one analysis of the tree serves every
+//! policy evaluation (`--check-config` re-evaluates it once per allowlist
+//! entry). Policy — which roots matter, which paths are exempt — is
 //! applied later by the rule engine over the whole-workspace [`crate::graph`].
 //!
 //! Per function we record:

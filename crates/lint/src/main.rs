@@ -12,7 +12,6 @@ struct Args {
     sarif: bool,
     explain: Option<String>,
     check_config: bool,
-    no_cache: bool,
     root: Option<PathBuf>,
     config: Option<PathBuf>,
 }
@@ -21,7 +20,7 @@ const USAGE: &str = "\
 leaky-lint — determinism & simulator-invariant static analysis
 
 USAGE:
-    leaky-lint [--json | --sarif] [--no-cache] [--root <dir>] [--config <lint.toml>]
+    leaky-lint [--json | --sarif] [--root <dir>] [--config <lint.toml>]
     leaky-lint --explain <rule>
     leaky-lint --check-config [--root <dir>] [--config <lint.toml>]
 
@@ -30,7 +29,6 @@ OPTIONS:
     --sarif            SARIF 2.1.0 output (GitHub code scanning)
     --explain <rule>   print what a rule (D1..D8, A1..A4) means and how to fix it
     --check-config     audit lint.toml for stale allowlist entries; exit 1 if any
-    --no-cache         skip the per-file analysis cache (target/leaky-lint-cache)
     --root <dir>       workspace root to lint (default: nearest dir with lint.toml,
                        else the workspace this binary was built from)
     --config <path>    config file (default: <root>/lint.toml)
@@ -46,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
         sarif: false,
         explain: None,
         check_config: false,
-        no_cache: false,
         root: None,
         config: None,
     };
@@ -59,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
                 args.explain = Some(it.next().ok_or("--explain needs a rule id argument")?)
             }
             "--check-config" => args.check_config = true,
-            "--no-cache" => args.no_cache = true,
             "--root" => {
                 args.root = Some(PathBuf::from(
                     it.next().ok_or("--root needs a directory argument")?,
@@ -165,9 +161,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let cache_dir = root.join("target/leaky-lint-cache");
-    let cache = (!args.no_cache).then_some(cache_dir.as_path());
-    let out = match lint::run_full(&root, &config, cache) {
+    let out = match lint::run(&root, &config) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("leaky-lint: {}", e);

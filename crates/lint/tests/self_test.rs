@@ -28,7 +28,9 @@ fn load(config_name: &str) -> Config {
 /// fixture must trip exactly the rule it is named for.
 #[test]
 fn every_rule_fires_on_its_bad_fixture() {
-    let diags = lint::run(&fixtures_root(), &load("lint-bad.toml")).expect("lint runs");
+    let diags = lint::run(&fixtures_root(), &load("lint-bad.toml"))
+        .expect("lint runs")
+        .diags;
     let fired: BTreeSet<&str> = diags.iter().map(|d| d.rule).collect();
     let all: BTreeSet<&str> = lint::rules::RULES
         .iter()
@@ -55,7 +57,9 @@ fn every_rule_fires_on_its_bad_fixture() {
 /// SAFETY-comment-in-allowlisted-file case — produces no findings at all.
 #[test]
 fn good_fixtures_are_clean() {
-    let diags = lint::run(&fixtures_root(), &load("lint-good.toml")).expect("lint runs");
+    let diags = lint::run(&fixtures_root(), &load("lint-good.toml"))
+        .expect("lint runs")
+        .diags;
     assert!(
         diags.is_empty(),
         "good fixtures flagged: {:#?}",
@@ -108,7 +112,7 @@ fn cli_exit_codes_and_json() {
 fn live_workspace_is_clean() {
     let root = workspace_root();
     let config = lint::load_config(&root).expect("workspace lint.toml parses");
-    let diags = lint::run(&root, &config).expect("lint runs");
+    let diags = lint::run(&root, &config).expect("lint runs").diags;
     let errors: Vec<String> = diags
         .iter()
         .filter(|d| d.severity == Severity::Error)
@@ -149,7 +153,7 @@ fn cli_sarif_shape() {
     let bin = env!("CARGO_BIN_EXE_leaky-lint");
     let root = fixtures_root();
     let out = Command::new(bin)
-        .args(["--sarif", "--no-cache", "--root"])
+        .args(["--sarif", "--root"])
         .arg(&root)
         .arg("--config")
         .arg(root.join("lint-bad.toml"))
@@ -209,27 +213,6 @@ fn cli_explain() {
     assert_eq!(out.status.code(), Some(2), "unknown rule id exits 2");
 }
 
-/// The incremental cache is an optimization, never an observable: a warm
-/// run reproduces the cold run's diagnostics exactly and satisfies every
-/// file from the cache.
-#[test]
-fn warm_cache_run_matches_cold() {
-    let cache = std::env::temp_dir().join(format!("leaky-lint-selftest-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
-    let root = fixtures_root();
-    let config = load("lint-bad.toml");
-    let cold = lint::run_full(&root, &config, Some(&cache)).expect("cold run");
-    let warm = lint::run_full(&root, &config, Some(&cache)).expect("warm run");
-    assert_eq!(cold.diags, warm.diags, "cache changed the diagnostics");
-    assert_eq!(cold.stats.cache_hits, 0, "first run must be all misses");
-    assert_eq!(
-        warm.stats.cache_hits, warm.stats.files_analyzed,
-        "warm run missed the cache on {} files",
-        warm.stats.cache_misses
-    );
-    let _ = std::fs::remove_dir_all(&cache);
-}
-
 /// The checked-in workspace config carries no stale allowlist entries —
 /// the same gate `--check-config` enforces in CI.
 #[test]
@@ -241,6 +224,36 @@ fn workspace_config_has_no_stale_allows() {
         problems.is_empty(),
         "stale allowlist entries:\n{}",
         problems.join("\n")
+    );
+}
+
+/// `--check-config` on the bad corpus flags both kinds of stale entry —
+/// an `allow` path that matches no walked file, and one whose removal
+/// changes no diagnostic — and keeps quiet about an entry that really
+/// suppresses a finding.
+#[test]
+fn check_config_flags_stale_allows_on_fixtures() {
+    let config = Config::parse(
+        r#"
+schema = 1
+
+[paths]
+include = ["bad"]
+
+[rules.D1]
+severity = "error"
+allow = ["bad/d1_wallclock.rs", "bad/d2_hash_iter.rs", "nowhere/"]
+"#,
+    )
+    .expect("inline config parses");
+    let problems = lint::check_config(&fixtures_root(), &config).expect("check runs");
+    assert_eq!(
+        problems,
+        vec![
+            "rules.D1.allow entry `bad/d2_hash_iter.rs` suppresses zero findings (stale)"
+                .to_string(),
+            "rules.D1.allow entry `nowhere/` matches zero linted files".to_string(),
+        ]
     );
 }
 
