@@ -279,6 +279,12 @@ pub fn trace_for(key: u64, collect: impl FnOnce() -> RawTrace) -> RawTrace {
 /// [`EXTRACTOR_VERSION`]. Two traces with bitwise-equal sample streams (e.g.
 /// a cached and a fresh collection of the same run) share one matrix.
 pub fn counter_feature_matrix(raw: &RawTrace) -> FeatureMatrix {
+    counter_feature_matrix_in(CacheMode::from_env(), raw)
+}
+
+/// [`counter_feature_matrix`] under an explicit `mode`: `Off` computes a
+/// fresh matrix, `Mem` and `Disk` share the in-process memo.
+fn counter_feature_matrix_in(mode: CacheMode, raw: &RawTrace) -> FeatureMatrix {
     let compute = || -> FeatureMatrix {
         Arc::new(
             raw.samples
@@ -287,7 +293,7 @@ pub fn counter_feature_matrix(raw: &RawTrace) -> FeatureMatrix {
                 .collect(),
         )
     };
-    if CacheMode::from_env() == CacheMode::Off {
+    if mode == CacheMode::Off {
         return compute();
     }
     let mut h = KeyHasher::new();
@@ -620,12 +626,18 @@ mod tests {
             .iter()
             .map(|s| counter_features(&s.to_features()))
             .collect();
-        let cached = counter_feature_matrix(&trace);
+        // The memo mode is pinned here, not read from `LEAKY_DNN_CACHE`, so
+        // the sharing assertion holds whatever the environment says.
+        let cached = counter_feature_matrix_in(CacheMode::Mem, &trace);
         assert_eq!(*cached, direct);
         // A bitwise-equal trace (e.g. a fresh collection of the same run)
         // shares the same matrix allocation.
-        let again = counter_feature_matrix(&trace.clone());
+        let again = counter_feature_matrix_in(CacheMode::Mem, &trace.clone());
         assert!(Arc::ptr_eq(&cached, &again));
+        // With the memo off the matrix is equal but freshly computed.
+        let fresh = counter_feature_matrix_in(CacheMode::Off, &trace);
+        assert_eq!(*fresh, direct);
+        assert!(!Arc::ptr_eq(&cached, &fresh));
     }
 
     #[test]

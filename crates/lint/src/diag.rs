@@ -35,8 +35,9 @@ pub fn sort(diags: &mut [Diagnostic]) {
     });
 }
 
-/// Renders the human-readable report.
-pub fn render_human(diags: &[Diagnostic]) -> String {
+/// Renders the human-readable report. The summary line also counts the
+/// items the parser skipped, so a blind spot is never silent.
+pub fn render_human(diags: &[Diagnostic], stats: &crate::RunStats) -> String {
     let mut out = String::new();
     for d in diags {
         out.push_str(&format!(
@@ -50,11 +51,13 @@ pub fn render_human(diags: &[Diagnostic]) -> String {
         .count();
     let warnings = diags.len() - errors;
     out.push_str(&format!(
-        "leaky-lint: {} error{}, {} warning{}\n",
+        "leaky-lint: {} error{}, {} warning{}, {} unparsed item{} skipped\n",
         errors,
         if errors == 1 { "" } else { "s" },
         warnings,
         if warnings == 1 { "" } else { "s" },
+        stats.unparsed_items,
+        if stats.unparsed_items == 1 { "" } else { "s" },
     ));
     out
 }
@@ -96,11 +99,12 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
 pub fn render_json_full(diags: &[Diagnostic], stats: &crate::RunStats) -> String {
     let base = render_json(diags);
     format!(
-        "{},\"stats\":{{\"files_analyzed\":{},\"unresolved_calls\":{},\"fns_indexed\":{}}}}}",
+        "{},\"stats\":{{\"files_analyzed\":{},\"unresolved_calls\":{},\"fns_indexed\":{},\"unparsed_items\":{}}}}}",
         &base[..base.len() - 1],
         stats.files_analyzed,
         stats.unresolved_calls,
         stats.fns_indexed,
+        stats.unparsed_items,
     )
 }
 
@@ -178,7 +182,11 @@ mod tests {
             d("D1", "a.rs", 1, Severity::Error),
             d("D2", "a.rs", 2, Severity::Warn),
         ];
-        let text = render_human(&diags);
-        assert!(text.contains("1 error, 1 warning"));
+        let stats = crate::RunStats {
+            unparsed_items: 1,
+            ..Default::default()
+        };
+        let text = render_human(&diags, &stats);
+        assert!(text.contains("1 error, 1 warning, 1 unparsed item skipped"));
     }
 }

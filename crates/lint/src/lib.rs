@@ -57,7 +57,7 @@ use diag::Diagnostic;
 use graph::{FileUnit, Graph};
 use rules::{RawAnalysis, Waivers};
 
-/// Counters from one run, surfaced in `--json` output.
+/// Counters from one run, surfaced in every output format.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct RunStats {
     /// Files lexed and parsed this run.
@@ -68,6 +68,9 @@ pub struct RunStats {
     /// Functions indexed into the call graph, test functions included
     /// (reachability skips them).
     pub fns_indexed: usize,
+    /// Items the parser could not classify and skipped, summed over files
+    /// (`parser::ParsedFile::unparsed_items`). No rule sees inside them.
+    pub unparsed_items: usize,
 }
 
 /// Diagnostics plus run counters.
@@ -150,6 +153,7 @@ pub fn run(root: &Path, config: &Config) -> std::io::Result<RunOutput> {
             files_analyzed: analysis.units.len(),
             unresolved_calls: analysis.graph.unresolved.len(),
             fns_indexed: analysis.graph.nodes.len(),
+            unparsed_items: analysis.units.iter().map(|u| u.parsed.unparsed_items).sum(),
         },
     })
 }

@@ -171,9 +171,9 @@ fn main() -> ExitCode {
     if args.json {
         println!("{}", lint::diag::render_json_full(&out.diags, &out.stats));
     } else if args.sarif {
-        print!("{}", lint::sarif::render_sarif(&out.diags));
+        print!("{}", lint::sarif::render_sarif(&out.diags, &out.stats));
     } else {
-        print!("{}", lint::diag::render_human(&out.diags));
+        print!("{}", lint::diag::render_human(&out.diags, &out.stats));
     }
     let errors = out.diags.iter().any(|d| d.severity == Severity::Error);
     if errors {

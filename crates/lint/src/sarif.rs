@@ -12,12 +12,14 @@ use crate::arules::SEM_RULES;
 use crate::config::Severity;
 use crate::diag::{json_str, Diagnostic};
 use crate::rules::RULES;
+use crate::RunStats;
 
 const SARIF_SCHEMA: &str =
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json";
 
-/// Renders the full SARIF document, trailing newline included.
-pub fn render_sarif(diags: &[Diagnostic]) -> String {
+/// Renders the full SARIF document, trailing newline included. The run's
+/// `properties` bag carries the [`RunStats`], blind spots included.
+pub fn render_sarif(diags: &[Diagnostic], stats: &RunStats) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"$schema\": {},\n", json_str(SARIF_SCHEMA)));
@@ -86,7 +88,12 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
             "        }\n"
         });
     }
-    out.push_str("      ]\n    }\n  ]\n}\n");
+    out.push_str("      ],\n");
+    out.push_str(&format!(
+        "      \"properties\": {{ \"filesAnalyzed\": {}, \"unresolvedCalls\": {}, \"fnsIndexed\": {}, \"unparsedItems\": {} }}\n",
+        stats.files_analyzed, stats.unresolved_calls, stats.fns_indexed, stats.unparsed_items,
+    ));
+    out.push_str("    }\n  ]\n}\n");
     out
 }
 
@@ -131,7 +138,7 @@ mod tests {
 
     #[test]
     fn has_the_2_1_0_shape_github_consumes() {
-        let s = render_sarif(&sample());
+        let s = render_sarif(&sample(), &RunStats::default());
         assert!(s.contains("\"version\": \"2.1.0\""));
         assert!(s.contains("sarif-schema-2.1.0.json"));
         assert!(s.contains("\"name\": \"leaky-lint\""));
@@ -159,21 +166,21 @@ mod tests {
 
     #[test]
     fn escapes_message_content() {
-        let s = render_sarif(&sample());
+        let s = render_sarif(&sample(), &RunStats::default());
         assert!(s.contains("with \\\"quotes\\\""));
     }
 
     #[test]
     fn empty_results_array_is_valid() {
-        let s = render_sarif(&[]);
-        assert!(s.contains("\"results\": [\n      ]"));
+        let s = render_sarif(&[], &RunStats::default());
+        assert!(s.contains("\"results\": [\n      ],"));
     }
 
     #[test]
     fn balanced_braces_and_brackets() {
         // cheap structural sanity: the writer never emits strings with
         // unescaped braces, so raw counts must balance.
-        let s = render_sarif(&sample());
+        let s = render_sarif(&sample(), &RunStats::default());
         let opens = s.matches('{').count();
         let closes = s.matches('}').count();
         assert_eq!(opens, closes);

@@ -187,6 +187,37 @@ fn cli_sarif_shape() {
     }
 }
 
+/// An item the parser cannot classify is skipped loudly: the one in the
+/// `unparsed/` fixture is counted in the `--json` stats, the SARIF run
+/// properties and the human summary alike.
+#[test]
+fn cli_reports_unparsed_items_in_every_format() {
+    let bin = env!("CARGO_BIN_EXE_leaky-lint");
+    let root = fixtures_root();
+    let run = |format: Option<&str>| {
+        let out = Command::new(bin)
+            .args(format)
+            .arg("--root")
+            .arg(&root)
+            .arg("--config")
+            .arg(root.join("lint-unparsed.toml"))
+            .output()
+            .expect("spawn leaky-lint");
+        assert_eq!(out.status.code(), Some(0), "clean corpus exits 0");
+        String::from_utf8(out.stdout).expect("utf8")
+    };
+    let json = run(Some("--json"));
+    assert!(json.contains("\"unparsed_items\":1}"), "json: {}", json);
+    let sarif = run(Some("--sarif"));
+    assert!(sarif.contains("\"unparsedItems\": 1 }"), "sarif: {}", sarif);
+    let human = run(None);
+    assert!(
+        human.contains("0 errors, 0 warnings, 1 unparsed item skipped"),
+        "human: {}",
+        human
+    );
+}
+
 /// `--explain` prints the rationale for token and semantic rules alike, and
 /// exits 2 on an unknown id.
 #[test]

@@ -616,8 +616,11 @@ impl LstmLayer {
 
     /// Batched BPTT over a packed bucket (layout as in
     /// [`LstmLayer::forward_batch_into`]). Writes the packed gate-delta
-    /// matrix into `da_packed` ((T*B) x 4H) and the packed input gradient
-    /// into `dx` ((T*B) x I).
+    /// matrix into `da_packed` ((T*B) x 4H) and, when `dx` is given, the
+    /// packed input gradient into it ((T*B) x I). The first layer of a stack
+    /// passes `None`: nothing reads the gradient with respect to the data,
+    /// so its `(T*B) x 4H x I` product is skipped. `da_packed` is the same
+    /// either way.
     ///
     /// The hidden-state carry `dh_next = da_t * wh` runs as one
     /// `(B x 4H) * (4H x H)` GEMM per timestep; per element it sums
@@ -633,7 +636,7 @@ impl LstmLayer {
         batch: usize,
         dh_out: &Matrix,
         da_packed: &mut Matrix,
-        dx: &mut Matrix,
+        dx: Option<&mut Matrix>,
         scratch: &mut LstmScratch,
     ) {
         let rows = cache.h.rows();
@@ -702,7 +705,9 @@ impl LstmLayer {
         }
         // Packed dx: row-independent, so each sequence's rows match the
         // per-sequence `da_mat * wx` bitwise.
-        da_packed.matmul_into(&self.wx, dx);
+        if let Some(dx) = dx {
+            da_packed.matmul_into(&self.wx, dx);
+        }
     }
 
     /// Reference BPTT: the straightforward per-timestep accumulation loops.
@@ -1062,7 +1067,7 @@ mod tests {
                     batch,
                     &dh_packed,
                     &mut da_packed,
-                    &mut dx_packed,
+                    Some(&mut dx_packed),
                     &mut scratch,
                 );
 
@@ -1096,6 +1101,49 @@ mod tests {
                     testkit::prop::holds(grads.b == solo_grads.b, "packed b grads differ")?;
                 }
                 Ok(())
+            },
+        );
+    }
+
+    /// Skipping the input gradient (`dx: None`, as a stack's first layer
+    /// does) leaves the packed gate deltas — everything the parameter
+    /// gradients are built from — bitwise unchanged.
+    #[test]
+    fn batched_backward_without_dx_keeps_gate_deltas() {
+        let shape = testkit::gen::zip2(lstm_shape(), testkit::gen::usize_in(1, 6));
+        testkit::check(
+            "lstm_batched_backward_without_dx",
+            &shape,
+            |&((in_dim, hidden, t_len), batch)| {
+                let mut rng = shape_rng(0xd0d0 ^ ((batch as u64) << 60), (in_dim, hidden, t_len));
+                let layer = LstmLayer::new(in_dim, hidden, &mut rng);
+                let xs = Matrix::uniform(t_len * batch, in_dim, 1.0, &mut rng);
+                let dh = Matrix::uniform(t_len * batch, hidden, 1.0, &mut rng);
+                let mut cache = LstmCache::empty();
+                let mut scratch = LstmScratch::new();
+                layer.forward_batch_into(&xs, batch, &mut cache, &mut scratch);
+
+                let mut da_with = Matrix::zeros(1, 1);
+                let mut dx = Matrix::zeros(1, 1);
+                layer.backward_batch_into(
+                    &cache,
+                    batch,
+                    &dh,
+                    &mut da_with,
+                    Some(&mut dx),
+                    &mut scratch,
+                );
+                // Stale contents in the reused buffer must be overwritten.
+                let mut da_without = Matrix::filled(3, 5, 7.5);
+                layer.backward_batch_into(&cache, batch, &dh, &mut da_without, None, &mut scratch);
+                testkit::prop::holds(
+                    da_without == da_with,
+                    format!("da_packed differs without dx (T={t_len}, B={batch})"),
+                )?;
+                testkit::prop::holds(
+                    (dx.rows(), dx.cols()) == (t_len * batch, in_dim),
+                    "with-dx call fills dx",
+                )
             },
         );
     }

@@ -536,15 +536,17 @@ use crate::par::thresholds::MIN_PARALLEL_GEMM_FLOPS;
 /// and ascending: every output element still accumulates its products in
 /// exactly the naive triple-loop order, so the result is bitwise equal to
 /// [`Matrix::matmul_naive`] — the tiling only changes *which* elements are
-/// in flight together, never the per-element summation chain. Edge rows and
-/// columns that do not fill a tile fall back to scalar ascending-`k`
-/// accumulation into the zero-initialized `buf`.
+/// in flight together, never the per-element summation chain.
 ///
 /// Full tiles dispatch to [`crate::simd::gemm_tile_4x8`], which runs the
 /// same accumulation across AVX2 lanes when available — each of the
 /// [`TILE_N`] output columns is an independent ascending-`k` chain, so the
 /// vector path is bitwise identical to the scalar one (property-tested at
-/// lane-boundary shapes in this module).
+/// lane-boundary shapes in this module). The rows below the last full tile
+/// (all of them when fewer than [`TILE_M`]) go one at a time through
+/// [`crate::simd::gemm_row_strips`], which vectorizes the same chains along
+/// the row into the zero-initialized `buf`. Within full-tile rows, columns
+/// past the last full [`TILE_N`] strip accumulate in scalar code.
 fn gemm_block(a: &[f32], k_dim: usize, b: &[f32], n: usize, r0: usize, buf: &mut [f32]) {
     let use_simd = crate::simd::enabled();
     let rows = buf.len() / n;
@@ -576,14 +578,13 @@ fn gemm_block(a: &[f32], k_dim: usize, b: &[f32], n: usize, r0: usize, buf: &mut
     }
     for dr in di..rows {
         let i = r0 + dr;
-        let a_row = &a[i * k_dim..(i + 1) * k_dim];
-        let out_row = &mut buf[dr * n..(dr + 1) * n];
-        for (k, &av) in a_row.iter().enumerate() {
-            let b_row = &b[k * n..(k + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += av * bv;
-            }
-        }
+        crate::simd::gemm_row_strips(
+            &a[i * k_dim..(i + 1) * k_dim],
+            b,
+            n,
+            &mut buf[dr * n..(dr + 1) * n],
+            use_simd,
+        );
     }
 }
 
@@ -852,6 +853,50 @@ mod tests {
                     testkit::prop::holds(
                         t_fast == t_reference,
                         format!("t_matmul {m}x{k}x{n} @ {threads} threads, simd={simd}"),
+                    )?;
+                }
+            }
+            Ok(())
+        });
+    }
+
+    /// The shapes sequence training runs: buckets of one to three rows (and
+    /// one full tile plus one to three rows), recurrent and input widths
+    /// around the strip grid. Every row below the last full tile goes
+    /// through `simd::gemm_row_strips`; with SIMD on and off, at 1 and 4
+    /// workers, each product must equal the naive triple loop bitwise.
+    #[test]
+    fn edge_row_products_match_naive_bitwise() {
+        let shape = testkit::gen::zip3(
+            testkit::gen::choice(vec![1usize, 2, 3, 5, 6, 7]),
+            testkit::gen::choice(vec![0usize, 1, 26, 64, 256]),
+            testkit::gen::choice(vec![1usize, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 256]),
+        );
+        testkit::check("gemm_edge_rows_vs_naive", &shape, |&(m, k, n)| {
+            for simd in [false, true] {
+                for threads in [1usize, 4] {
+                    let same = crate::simd::with_simd(simd, || {
+                        crate::par::with_threads(threads, || {
+                            if k == 0 {
+                                // A `Matrix` has no zero dimension, so the
+                                // empty inner product drives the kernel
+                                // directly: every output is the empty sum.
+                                let mut buf = vec![0.0f32; m * n];
+                                gemm_block(&[], 0, &[], n, 0, &mut buf);
+                                return buf.iter().all(|v| v.to_bits() == 0);
+                            }
+                            let mut rng = shape_rng(0xed9e, (m, k, n));
+                            let a = Matrix::uniform(m, k, 1.0, &mut rng);
+                            let b = Matrix::uniform(k, n, 1.0, &mut rng);
+                            // Stale contents: `matmul_into` must overwrite.
+                            let mut out = Matrix::filled(3, 3, 7.5);
+                            a.matmul_into(&b, &mut out);
+                            out == a.matmul_naive(&b)
+                        })
+                    });
+                    testkit::prop::holds(
+                        same,
+                        format!("matmul_into {m}x{k}x{n} @ {threads} threads, simd={simd}"),
                     )?;
                 }
             }

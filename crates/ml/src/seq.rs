@@ -302,14 +302,15 @@ impl SequenceClassifier {
         }
 
         // Backward down the stack; `dh`/`dx` swap roles exactly as in the
-        // per-sequence pass.
+        // per-sequence pass. Layer 0's input gradient would be the gradient
+        // with respect to the data, which nothing reads, so it is skipped.
         for (li, layer) in layers.iter().enumerate().rev() {
             layer.backward_batch_into(
                 &bws.caches[li],
                 b_n,
                 &bws.dh,
                 &mut bws.da_packed,
-                &mut bws.dx,
+                (li > 0).then_some(&mut bws.dx),
                 &mut bws.scratch,
             );
             for (bi, (_, ws)) in passes.iter_mut().enumerate() {

@@ -10,6 +10,12 @@
 //! deliberately not used: `a.mul_add(b, c)` rounds once where `a * b + c`
 //! rounds twice, which would change bit patterns.
 //!
+//! Two kernel shapes cover `A * B`: [`gemm_tile_4x8`] for full four-row
+//! tiles, and [`gemm_row_strips`] for the rows left over below them. The
+//! row kernel keeps up to four eight-lane strips of one output row in
+//! registers, so the one- to three-row products of small training buckets
+//! run vectorized too, with the same per-element chains.
+//!
 //! Dispatch is resolved once per process by [`enabled`]: the
 //! `LEAKY_DNN_SIMD` environment variable (`off` / `0` / `false` forces the
 //! scalar fallback) AND-ed with a runtime AVX2 check on x86_64; every other
@@ -168,6 +174,48 @@ pub fn gemm_t_tile_4x8(
             for (o, &bv) in acc_row.iter_mut().zip(b_strip.iter()) {
                 *o += av * bv;
             }
+        }
+    }
+}
+
+/// Column strips one [`gemm_row_strips`] block keeps in registers: four
+/// [`TILE_N`]-wide strips, the same 32 accumulators as a full 4x8 tile.
+const ROW_STRIPS: usize = 4;
+
+/// Adds `a_row * B` into `out_row`: one output row of `A * B`, for the rows
+/// that do not fill a [`TILE_M`]-row tile.
+///
+/// `b` is the row-major right-hand side with row stride `n`, `a_row` holds
+/// the row's `k_dim = a_row.len()` A values and `out_row` its `n` outputs.
+/// Every output element extends its own chain with `out += a[k] * b[k][j]`
+/// for ascending `k`, mul then add (never FMA), so on a zeroed `out_row` the
+/// result is bitwise equal to the naive triple loop. The AVX2 path keeps
+/// four [`TILE_N`]-wide strips of outputs in registers per pass over `k`, then
+/// one strip at a time, then the last `n % TILE_N` columns one scalar chain
+/// each. The scalar fallback is the plain row loop.
+///
+/// # Panics
+///
+/// Panics if `out_row.len() != n` or `b` holds fewer than `k_dim * n` values.
+#[inline]
+pub fn gemm_row_strips(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32], use_simd: bool) {
+    assert_eq!(out_row.len(), n, "gemm_row_strips output width mismatch");
+    assert!(b.len() >= a_row.len() * n, "gemm_row_strips B too short");
+    #[cfg(target_arch = "x86_64")]
+    if use_simd {
+        // SAFETY: `use_simd` is only true after the runtime AVX2 probe
+        // succeeded, and the lengths asserted above are exactly the bounds
+        // the kernel relies on (see its SAFETY comment).
+        unsafe {
+            avx2::gemm_row_strips(a_row, b, n, out_row);
+        }
+        return;
+    }
+    let _ = use_simd;
+    for (k, &av) in a_row.iter().enumerate() {
+        let b_row = &b[k * n..(k + 1) * n];
+        for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
+            *o += av * bv;
         }
     }
 }
@@ -344,6 +392,59 @@ mod avx2 {
             for (row, av) in acc.iter_mut().zip(acc_v.iter()) {
                 _mm256_storeu_ps(row.as_mut_ptr(), *av);
             }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available, `out_row.len() == n` and
+    /// `b.len() >= a_row.len() * n`.
+    // SAFETY: the dispatcher checks all three (see `super::gemm_row_strips`).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_row_strips(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
+        const GROUP: usize = super::ROW_STRIPS * TILE_N;
+        let mut j = 0;
+        // The dispatcher asserted `out_row.len() == n` and
+        // `b.len() >= a_row.len() * n`; the loops keep `j + width <= n` and
+        // `k < a_row.len()`, and the `n % TILE_N` tail is safe code.
+        // SAFETY: every load and store below therefore stays inside
+        // `b[k * n + j..][..width]` and `out_row[j..][..width]`.
+        unsafe {
+            while j + GROUP <= n {
+                let out = out_row.as_mut_ptr().add(j);
+                let mut acc: [__m256; super::ROW_STRIPS] =
+                    std::array::from_fn(|s| _mm256_loadu_ps(out.add(s * TILE_N)));
+                for (k, &av) in a_row.iter().enumerate() {
+                    let a_bcast = _mm256_set1_ps(av);
+                    let b_base = b.as_ptr().add(k * n + j);
+                    for (s, acc_s) in acc.iter_mut().enumerate() {
+                        let b_strip = _mm256_loadu_ps(b_base.add(s * TILE_N));
+                        // mul then add, never fmadd, as in `gemm_tile_4x8`.
+                        *acc_s = _mm256_add_ps(*acc_s, _mm256_mul_ps(a_bcast, b_strip));
+                    }
+                }
+                for (s, acc_s) in acc.iter().enumerate() {
+                    _mm256_storeu_ps(out.add(s * TILE_N), *acc_s);
+                }
+                j += GROUP;
+            }
+            while j + TILE_N <= n {
+                let out = out_row.as_mut_ptr().add(j);
+                let mut acc = _mm256_loadu_ps(out);
+                for (k, &av) in a_row.iter().enumerate() {
+                    let b_strip = _mm256_loadu_ps(b.as_ptr().add(k * n + j));
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), b_strip));
+                }
+                _mm256_storeu_ps(out, acc);
+                j += TILE_N;
+            }
+        }
+        for (jr, o) in out_row.iter_mut().enumerate().skip(j) {
+            let mut acc = *o;
+            for (k, &av) in a_row.iter().enumerate() {
+                acc += av * b[k * n + jr];
+            }
+            *o = acc;
         }
     }
 
@@ -545,6 +646,30 @@ mod tests {
             let mut simd = [[0.0f32; TILE_N]; TILE_M];
             gemm_t_tile_4x8(&a, a_cols, 1, &b, n, TILE_N, k_dim, &mut simd, enabled());
             assert_eq!(scalar, simd, "k_dim = {k_dim}");
+        }
+    }
+
+    #[test]
+    fn gemm_row_strips_matches_scalar_bitwise() {
+        // Every column count through two full four-strip groups covers each
+        // group / single-strip / scalar-tail split; a non-zero starting row
+        // checks that both paths accumulate into `out_row`.
+        for k_dim in [0usize, 1, 2, 7, 26] {
+            for n in 0..=2 * ROW_STRIPS * TILE_N + TILE_N + 1 {
+                let a: Vec<f32> = (0..k_dim)
+                    .map(|k| ((k * 7 + 3) % 13) as f32 * 0.17 - 0.7)
+                    .collect();
+                let b: Vec<f32> = (0..k_dim * n)
+                    .map(|x| ((x * 11) % 23) as f32 * 0.09 - 1.0)
+                    .collect();
+                let start: Vec<f32> = (0..n).map(|j| (j % 5) as f32 * 0.3 - 0.6).collect();
+                let mut scalar = start.clone();
+                gemm_row_strips(&a, &b, n, &mut scalar, false);
+                let mut simd = start.clone();
+                gemm_row_strips(&a, &b, n, &mut simd, enabled());
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scalar), bits(&simd), "k_dim = {k_dim}, n = {n}");
+            }
         }
     }
 
